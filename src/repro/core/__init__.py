@@ -24,7 +24,7 @@ from repro.core.engines import (
     RecountEngine,
     make_engine,
 )
-from repro.core.model import ProtectionResult, TPPProblem
+from repro.core.model import Phase1Substrate, ProtectionResult, TPPProblem
 from repro.core.node_protection import (
     NodeProtectionResult,
     node_targets,
@@ -43,6 +43,7 @@ from repro.core.wt import wt_greedy
 
 __all__ = [
     "TPPProblem",
+    "Phase1Substrate",
     "ProtectionResult",
     "sgb_greedy",
     "sgb_greedy_bb",

@@ -136,16 +136,18 @@ def degree_product_budget_division(problem: TPPProblem, budget: int) -> BudgetDi
     """Return the DBD division: sub budgets proportional to ``d_u * d_v``.
 
     Degrees are taken in the original graph (before phase 1), matching the
-    intuition that a link between two hubs is more important.  Sub budgets
-    remain capped by ``|W_t|`` because extra deletions beyond the number of
-    target subgraphs cannot improve that target's protection.
+    intuition that a link between two hubs is more important; they are read
+    off the index (:meth:`TPPProblem.endpoint_degrees`), so the original
+    graph is never materialised.  Sub budgets remain capped by ``|W_t|``
+    because extra deletions beyond the number of target subgraphs cannot
+    improve that target's protection.
     """
     if budget < 0:
         raise BudgetError(f"budget must be >= 0, got {budget}")
-    graph = problem.graph
+    degrees = problem.endpoint_degrees()
     initial = problem.initial_similarity_by_target()
     weights = {
-        target: float(graph.degree(target[0]) * graph.degree(target[1]))
+        target: float(degrees[target[0]] * degrees[target[1]])
         for target in problem.targets
     }
     caps = dict(initial)

@@ -5,6 +5,11 @@ the original social graph, the set of sensitive target links and the motif
 the adversary exploits — and provides the phase-1 graph (targets removed)
 every algorithm works on.
 
+:class:`Phase1Substrate` is that phase-1 graph frozen once: a problem on a
+subset of the hidden targets (a subset query, a shard) enumerates on the
+substrate's :class:`~repro.graphs.indexed.IndexedGraph` instead of copying
+and re-freezing the graph.
+
 :class:`ProtectionResult` records the output of a protector-selection
 algorithm: which protectors were deleted in which order, how the total
 similarity evolved, how the budget was split across targets (for the
@@ -15,10 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.exceptions import BudgetError, InvalidTargetError
-from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.graph import Edge, Graph, Node, canonical_edge
+from repro.graphs.indexed import IndexedGraph
 from repro.motifs.base import MotifPattern, coerce_motif
 from repro.motifs.enumeration import TargetSubgraphIndex
 from repro.motifs.similarity import total_similarity
@@ -26,7 +41,48 @@ from repro.motifs.similarity import total_similarity
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     import repro.motifs.updates
 
-__all__ = ["TPPProblem", "ProtectionResult"]
+__all__ = ["Phase1Substrate", "TPPProblem", "ProtectionResult"]
+
+
+@dataclass(frozen=True)
+class Phase1Substrate:
+    """A phase-1 graph frozen once, shared by every target filter of it.
+
+    Attributes
+    ----------
+    indexed_graph:
+        The frozen phase-1 graph (every ``hidden`` link removed).  Indexes
+        enumerated on it share its CSR instead of freezing a copy.
+    hidden:
+        The target links phase 1 removed; a problem opened with
+        :meth:`TPPProblem.on_substrate` keeps a subset of them.
+    graph:
+        The mutable phase-1 :class:`Graph` when its owner already has one
+        (shared read-only), else ``None`` — a problem on the substrate then
+        materialises it from ``indexed_graph`` only if a caller asks.
+    """
+
+    indexed_graph: IndexedGraph
+    hidden: FrozenSet[Edge]
+    graph: Optional[Graph] = None
+
+    @classmethod
+    def hide(cls, graph: Graph, targets: Sequence[Edge]) -> "Phase1Substrate":
+        """Run phase 1 on ``graph``: remove every target, freeze the rest once.
+
+        Raises
+        ------
+        InvalidTargetError
+            If a target is not an edge of ``graph``.
+        """
+        canonical = [canonical_edge(*target) for target in targets]
+        missing = [edge for edge in canonical if not graph.has_edge(*edge)]
+        if missing:
+            raise InvalidTargetError(
+                f"targets {missing!r} are not edges of the original graph"
+            )
+        phase1 = graph.without_edges(canonical)
+        return cls(IndexedGraph(phase1), frozenset(canonical), phase1)
 
 
 class TPPProblem:
@@ -88,6 +144,7 @@ class TPPProblem:
 
         self._phase1_graph = graph.without_edges(self._targets)
         self._index: Optional[TargetSubgraphIndex] = None
+        self._endpoint_degrees: Optional[Dict[Node, int]] = None
         if index is not None:
             self.adopt_index(index)
 
@@ -268,14 +325,9 @@ class TPPProblem:
         # skipped __init__ validation (targets are edges, C >= s(∅, T))
         # held when the snapshot was saved and is preserved verbatim by the
         # hash-checked file.
-        problem = cls.__new__(cls)
-        problem._graph = None
-        problem._motif = index.motif
-        problem._targets = index.targets
-        problem._phase1_graph = None
-        problem._index = index
-        problem._constant = snapshot.constant
-        return problem
+        return cls._assemble(
+            index.motif, index.targets, None, index, snapshot.constant
+        )
 
     def apply_delta(
         self, delta: "repro.motifs.updates.EdgeDelta", constant: Optional[int] = None
@@ -319,13 +371,9 @@ class TPPProblem:
         # same lazy-graph construction as from_snapshot: the updated index
         # carries the spliced phase-1 graph, both Graph views materialise on
         # demand
-        problem = type(self).__new__(type(self))
-        problem._graph = None
-        problem._motif = self._motif
-        problem._targets = self._targets
-        problem._phase1_graph = None
-        problem._index = outcome.index
-        problem._constant = constant
+        problem = type(self)._assemble(
+            self._motif, self._targets, None, outcome.index, constant
+        )
         return problem, outcome
 
     def with_constant(self, constant: int) -> "TPPProblem":
@@ -355,14 +403,116 @@ class TPPProblem:
             )
         if constant == self._constant:
             return self
-        problem = type(self).__new__(type(self))
+        problem = type(self)._assemble(
+            self._motif, self._targets, self._phase1_graph, self._index, constant
+        )
         problem._graph = self._graph
-        problem._motif = self._motif
-        problem._targets = self._targets
-        problem._phase1_graph = self._phase1_graph
-        problem._index = self._index
+        problem._endpoint_degrees = self._endpoint_degrees
+        return problem
+
+    @classmethod
+    def _assemble(
+        cls,
+        motif: MotifPattern,
+        targets: Tuple[Edge, ...],
+        phase1_graph: Optional[Graph],
+        index: Optional[TargetSubgraphIndex],
+        constant: int,
+    ) -> "TPPProblem":
+        """Build a problem from already-validated parts, skipping ``__init__``.
+
+        The original graph starts unmaterialised (see :attr:`graph`); the
+        caller vouches that ``index`` covers ``targets`` and that
+        ``constant`` is at least their initial similarity.
+        """
+        problem = cls.__new__(cls)
+        problem._graph = None
+        problem._motif = motif
+        problem._targets = targets
+        problem._phase1_graph = phase1_graph
+        problem._index = index
+        problem._endpoint_degrees = None
         problem._constant = constant
         return problem
+
+    def substrate(self) -> Phase1Substrate:
+        """Return this problem's phase-1 graph as a shareable substrate.
+
+        The frozen graph is the cached index's own
+        :class:`~repro.graphs.indexed.IndexedGraph`, so a problem with a
+        built index hands it out without any graph work; without one the
+        phase-1 graph is frozen here.
+        """
+        if self._index is not None:
+            indexed = self._index.indexed_graph
+        else:
+            indexed = IndexedGraph(self.phase1_graph)
+        return Phase1Substrate(indexed, self.target_set(), self._phase1_graph)
+
+    @classmethod
+    def on_substrate(
+        cls,
+        substrate: Phase1Substrate,
+        targets: Sequence[Edge],
+        motif: Union[str, MotifPattern] = "triangle",
+        constant: Optional[int] = None,
+        index: Optional[TargetSubgraphIndex] = None,
+        build_workers: Optional[int] = None,
+    ) -> "TPPProblem":
+        """Open a problem on some of a substrate's hidden targets.
+
+        The problem's phase-1 graph *is* the substrate's, so every hidden
+        link stays removed, targets outside ``targets`` included.  Its
+        original graph is that phase-1 graph plus ``targets``, materialised
+        only on first access like a snapshot-restored problem's.  ``index``
+        must have been enumerated on ``substrate.indexed_graph`` for exactly
+        these targets (in this order); without one it is enumerated there
+        (``build_workers`` as in :meth:`build_index`).  Nothing is copied
+        or frozen again.
+
+        Raises
+        ------
+        InvalidTargetError
+            If ``targets`` is empty, repeats a link, names a link the
+            substrate does not hide, or ``index`` / ``constant`` do not fit.
+        """
+        motif_pattern = coerce_motif(motif)
+        canonical = tuple(canonical_edge(*target) for target in targets)
+        if not canonical:
+            raise InvalidTargetError("the target set T must not be empty")
+        if len(set(canonical)) != len(canonical):
+            raise InvalidTargetError(f"duplicate targets in {canonical!r}")
+        foreign = [edge for edge in canonical if edge not in substrate.hidden]
+        if foreign:
+            raise InvalidTargetError(
+                f"targets {foreign!r} are not hidden by the phase-1 substrate"
+            )
+        if index is None:
+            index = TargetSubgraphIndex(
+                substrate.indexed_graph,
+                canonical,
+                motif_pattern,
+                build_workers=build_workers,
+            )
+        elif (
+            index.indexed_graph is not substrate.indexed_graph
+            or index.targets != canonical
+            or index.motif.name != motif_pattern.name
+        ):
+            raise InvalidTargetError(
+                "the supplied index was not enumerated on this substrate for "
+                "these targets and motif"
+            )
+        initial = index.initial_total_similarity()
+        if constant is None:
+            constant = initial
+        elif constant < initial:
+            raise InvalidTargetError(
+                f"constant C={constant} must be >= the initial similarity {initial}"
+            )
+        return cls._assemble(
+            motif_pattern, canonical, substrate.graph, index, constant
+        )
 
     @property
     def has_cached_index(self) -> bool:
@@ -379,6 +529,26 @@ class TPPProblem:
         if self._index is not None:
             return self._index.initial_total_similarity()
         return total_similarity(self.phase1_graph, self._targets, self._motif)
+
+    def endpoint_degrees(self) -> Dict[Node, int]:
+        """Return the original-graph degree of every target endpoint.
+
+        Read off the index's phase-1 CSR plus the targets' own incidence
+        (phase 1 removed exactly those links), then cached — so degree-based
+        budget division never materialises the original graph.  Do not
+        mutate the returned mapping.
+        """
+        if self._endpoint_degrees is None:
+            indexed = self.build_index().indexed_graph
+            incidence: Dict[Node, int] = {}
+            for target in self._targets:
+                for node in target:
+                    incidence[node] = incidence.get(node, 0) + 1
+            self._endpoint_degrees = {
+                node: count + indexed.degree_of(indexed.node_id(node))
+                for node, count in incidence.items()
+            }
+        return self._endpoint_degrees
 
     def initial_similarity_by_target(self) -> Dict[Edge, int]:
         """Return ``s(∅, t)`` for every target."""

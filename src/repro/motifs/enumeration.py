@@ -125,7 +125,7 @@ INDEX_ARRAY_FIELDS = (
 # ----------------------------------------------------------------------
 def _enumerate_buffers(
     indexed: IndexedGraph,
-    graph: Graph,
+    graph: Optional[Graph],
     motif: MotifPattern,
     targets: Sequence[Edge],
 ) -> Tuple[array, array, List[int]]:
@@ -135,7 +135,9 @@ def _enumerate_buffers(
     parallel build go through: built-in motifs walk the CSR rows via
     ``enumerate_instance_edge_ids`` (a deterministic id-order walk), custom
     motifs take the tuple-enumeration fallback inherited from
-    :class:`~repro.motifs.base.MotifPattern`.
+    :class:`~repro.motifs.base.MotifPattern`.  ``graph`` is ``None`` when
+    the motif declares ``needs_graph = False`` and the caller had only the
+    frozen snapshot.
 
     The fallback's generation order follows ``Graph`` adjacency-*set*
     iteration, which is not stable across hash seeds or a pickle round trip
@@ -172,12 +174,14 @@ def _enumerate_buffers(
 #: Per-process enumeration context installed by the pool initializer, so the
 #: (IndexedGraph, graph, motif, targets) payload is pickled once per worker
 #: instead of once per chunk.
-_BUILD_CONTEXT: Optional[Tuple[IndexedGraph, Graph, MotifPattern, Tuple[Edge, ...]]] = None
+_BUILD_CONTEXT: Optional[
+    Tuple[IndexedGraph, Optional[Graph], MotifPattern, Tuple[Edge, ...]]
+] = None
 
 
 def _build_worker_init(
     indexed: IndexedGraph,
-    graph: Graph,
+    graph: Optional[Graph],
     motif: MotifPattern,
     targets: Tuple[Edge, ...],
 ) -> None:
@@ -230,7 +234,7 @@ def _pool_context():
 
 def _enumerate_buffers_parallel(
     indexed: IndexedGraph,
-    graph: Graph,
+    graph: Optional[Graph],
     motif: MotifPattern,
     targets: Tuple[Edge, ...],
     workers: int,
@@ -261,7 +265,10 @@ class TargetSubgraphIndex:
     Parameters
     ----------
     graph:
-        The phase-1 graph (all targets already removed).
+        The phase-1 graph (all targets already removed), or its already
+        frozen :class:`~repro.graphs.indexed.IndexedGraph` — which the
+        index then shares instead of freezing the graph again, so every
+        target filter of one session enumerates on one substrate.
     targets:
         The hidden target links.
     motif:
@@ -291,7 +298,7 @@ class TargetSubgraphIndex:
 
     def __init__(
         self,
-        graph: Graph,
+        graph: Union[Graph, IndexedGraph],
         targets: Sequence[Edge],
         motif: Union[str, MotifPattern],
         build_workers: Optional[int] = None,
@@ -312,7 +319,16 @@ class TargetSubgraphIndex:
                     "remove all targets (phase 1) before building the index"
                 )
 
-        indexed = IndexedGraph(graph, assembly=assembly)
+        phase1: Optional[Graph]
+        if isinstance(graph, IndexedGraph):
+            # an already-frozen phase-1 graph is shared, never re-frozen;
+            # only a motif that reads the Graph view gets one materialised
+            # (the same rule the delta path applies)
+            indexed = graph
+            phase1 = indexed.to_graph() if self._motif.needs_graph else None
+        else:
+            indexed = IndexedGraph(graph, assembly=assembly)
+            phase1 = graph
         self._indexed = indexed
         self._target_index: Dict[Edge, int] = {
             target: position for position, target in enumerate(self._targets)
@@ -331,11 +347,11 @@ class TargetSubgraphIndex:
         workers = int(build_workers) if build_workers else 0
         if workers > 1 and len(self._targets) > 1:
             edge_buffer, arity_buffer, counts = _enumerate_buffers_parallel(
-                indexed, graph, self._motif, self._targets, workers
+                indexed, phase1, self._motif, self._targets, workers
             )
         else:
             edge_buffer, arity_buffer, counts = _enumerate_buffers(
-                indexed, graph, self._motif, self._targets
+                indexed, phase1, self._motif, self._targets
             )
 
         # per-target contiguous instance-id ranges (python ints, API-facing)

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engines import CoverageEngine, MarginalGainEngine
-from repro.core.model import ProtectionResult, TPPProblem
+from repro.core.model import Phase1Substrate, ProtectionResult, TPPProblem
 from repro.core.selection import Stopwatch
 from repro.exceptions import ExperimentError
 from repro.graphs.graph import Edge, Graph, canonical_edge, edge_sort_key
@@ -251,8 +251,7 @@ class ProtectionService:
     @classmethod
     def for_filtered_targets(
         cls,
-        graph: Graph,
-        all_targets: Sequence[Edge],
+        substrate: Phase1Substrate,
         kept: Sequence[Edge],
         motif: Union[str, MotifPattern] = "triangle",
         constant: Optional[int] = None,
@@ -261,16 +260,18 @@ class ProtectionService:
         build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> "ProtectionService":
-        """Open a session on ``kept`` ⊆ ``all_targets`` with phase-1 semantics.
+        """Open a session on ``kept`` ⊆ ``substrate.hidden``.
 
         This is the one place target filtering happens, and it happens
-        *before* enumeration: the non-kept targets are removed from the
-        graph first, so the session's phase-1 graph equals the phase-1
-        graph of the full target set (all of ``T`` stays hidden — the
-        paper removes every sensitive link in phase 1) and the session
-        never enumerates a non-kept target.  Both target-filtering paths —
-        subset sub-sessions (:meth:`solve` with ``request.targets``) and
-        the shards of
+        *before* enumeration: the session enumerates only ``kept`` on the
+        parent's frozen phase-1 graph, in which all of ``T`` stays hidden
+        (the paper removes every sensitive link in phase 1).  Nothing is
+        copied or frozen — the sub-problem shares the substrate and
+        materialises its original graph only on demand (see
+        :meth:`TPPProblem.on_substrate
+        <repro.core.model.TPPProblem.on_substrate>`).  Both
+        target-filtering paths — subset sub-sessions (:meth:`solve` with
+        ``request.targets``) and the shards of
         :class:`~repro.service.sharding.ShardedProtectionService` — build
         through here, which is what makes them trace-identical on the same
         target set (pinned by the sharding differential suite).
@@ -278,30 +279,24 @@ class ProtectionService:
         ``kept`` is put in the library-wide
         :func:`~repro.graphs.graph.edge_sort_key` order (duplicates raise
         :class:`~repro.exceptions.ExperimentError`).  ``constant`` and a
-        pre-built ``index`` (already enumerated for exactly the sorted
-        kept targets) are forwarded to the
-        :class:`~repro.core.model.TPPProblem`; an adopted index means the
-        construction does no enumeration at all.
+        pre-built ``index`` (already enumerated on the substrate for
+        exactly the sorted kept targets) are forwarded to the problem; an
+        adopted index means the construction does no enumeration at all.
         """
         kept_targets = tuple(
             sorted((canonical_edge(*target) for target in kept), key=edge_sort_key)
         )
-        kept_set = set(kept_targets)
-        if len(kept_set) != len(kept_targets):
+        if len(set(kept_targets)) != len(kept_targets):
             raise ExperimentError(
                 f"kept targets contain duplicate links: {kept_targets!r}"
             )
-        rest = [
-            edge
-            for edge in (canonical_edge(*target) for target in all_targets)
-            if edge not in kept_set
-        ]
-        problem = TPPProblem(
-            graph.without_edges(rest),
+        problem = TPPProblem.on_substrate(
+            substrate,
             kept_targets,
             motif=motif,
             constant=constant,
             index=index,
+            build_workers=build_workers,
         )
         return cls(
             problem,
@@ -417,7 +412,7 @@ class ProtectionService:
         if request.targets is not None and set(request.targets) != set(
             problem.targets
         ):
-            session, was_cached = self._subset_session(request.targets)
+            session, was_cached = self._subset_session(problem, request.targets)
             result = session.solve(request.with_overrides(targets=None))
             # the sub-session answered a full-target query; restore the
             # caller's view: echo the original (subset) request and only
@@ -539,13 +534,14 @@ class ProtectionService:
         piece, and the element-wise sum of the per-shard traces is the
         whole request's trace.
         """
+        with self._lock:
+            problem = self._problem
+            prototype = self._prototype
         if targets is not None:
             canonical = tuple(canonical_edge(*target) for target in targets)
-            if set(canonical) != set(self._problem.targets):
-                session, _ = self._subset_session(canonical)
+            if set(canonical) != set(problem.targets):
+                session, _ = self._subset_session(problem, canonical)
                 return session.evaluate_trace(protectors)
-        with self._lock:
-            prototype = self._prototype
         state = prototype.copy()
         trace = [state.total_similarity()]
         for protector in protectors:
@@ -570,9 +566,12 @@ class ProtectionService:
         :mod:`repro.motifs.updates`) — and swapped in copy-on-write:
         queries already in flight finish on the pre-delta state, queries
         started after this returns see the updated graph, and nothing is
-        ever served from a mixed state.  Subset sub-sessions are kept
-        unless their targets' instance sets changed (the delta outcome
-        names them), so unaffected subset caches survive the update.
+        ever served from a mixed state.  A delta that changes the graph
+        drops every cached subset sub-session: each one enumerated on the
+        pre-delta phase-1 graph, so even a subset whose instances did not
+        change would keep answering from stale edges (random baselines
+        drawing deleted links, DBD reading old degrees).  Rebuilding one
+        on the shared substrate costs one enumeration of its targets.
 
         Returns the :class:`~repro.motifs.updates.DeltaOutcome`;
         ``constant`` follows :meth:`TPPProblem.apply_delta
@@ -612,11 +611,10 @@ class ProtectionService:
         sharded session can fan the (fallible) incremental maintenance out
         over all shards *first* and only then install every shard's result
         — making a multi-shard delta atomic: either every shard swaps or
-        none does.  Subset sub-sessions whose targets' instance sets
-        changed are evicted, the rest survive.
+        none does.  Every cached subset sub-session is evicted when the
+        graph changed (see :meth:`apply_delta`).
         """
         new_prototype = outcome.index.new_state(kernel=self._kernel_request)
-        changed = set(outcome.changed_targets)
         with self._lock:
             self._problem = new_problem
             self._index = outcome.index
@@ -625,14 +623,8 @@ class ProtectionService:
             self._build_seconds = build_seconds
             self._index_source = "delta"
             self._deltas_applied += 1
-            if changed:
-                stale = [
-                    subset
-                    for subset in self._subsessions
-                    if changed.intersection(subset)
-                ]
-                for subset in stale:
-                    del self._subsessions[subset]
+            if outcome.edges_deleted or outcome.edges_inserted:
+                self._subsessions.clear()
 
     @property
     def deltas_applied(self) -> int:
@@ -673,7 +665,7 @@ class ProtectionService:
         )
 
     def _subset_session(
-        self, targets: Tuple[Edge, ...]
+        self, problem: TPPProblem, targets: Tuple[Edge, ...]
     ) -> Tuple["ProtectionService", bool]:
         """Return ``(sub-session, was already cached)`` for a subset query.
 
@@ -682,8 +674,8 @@ class ProtectionService:
         on the same subset.  Two invariants keep subset semantics aligned
         with the session's:
 
-        * The sub-problem is built on the session's graph with the
-          *non-subset* targets already removed, so its phase-1 graph equals
+        * The sub-problem enumerates on the parent's phase-1 substrate (the
+          same frozen graph, shared, not copied), so its phase-1 graph *is*
           the parent's — all of ``T`` stays hidden (the paper removes every
           sensitive link in phase 1), and a subset query's released graph
           never leaks the targets outside the subset.
@@ -701,6 +693,9 @@ class ProtectionService:
         The cache is bounded (``max_cached_subsets``, LRU eviction), and a
         per-subset build lock ensures concurrent first queries on the same
         subset enumerate it once — the waiters reuse the winner's session.
+        ``problem`` is the parent state the caller captured: the cache only
+        answers (and only takes new entries) while that state is still the
+        live one, so a query racing a delta never mixes the two graphs.
         """
         subset = tuple(
             sorted((canonical_edge(*target) for target in targets), key=edge_sort_key)
@@ -710,13 +705,13 @@ class ProtectionService:
             raise ExperimentError(
                 f"request targets contain duplicate links: {subset!r}"
             )
-        known = set(self._problem.targets)
+        known = set(problem.targets)
         unknown = [target for target in subset if target not in known]
         if unknown:
             raise ExperimentError(
                 f"request targets {unknown!r} are not targets of this session"
             )
-        session = self._cached_subsession(subset)
+        session = self._cached_subsession(problem, subset)
         if session is not None:
             return session, True
         with self._lock:
@@ -725,26 +720,19 @@ class ProtectionService:
             try:
                 # a concurrent first query may have finished the enumeration
                 # while we waited on the build lock — check again before paying
-                session = self._cached_subsession(subset)
+                session = self._cached_subsession(problem, subset)
                 if session is not None:
                     return session, True
                 session = ProtectionService.for_filtered_targets(
-                    self._problem.graph,
-                    self._problem.targets,
+                    problem.substrate(),
                     subset,
-                    motif=self._problem.motif,
-                    constant=self._problem.constant,
+                    motif=problem.motif,
+                    constant=problem.constant,
                     max_cached_subsets=self._max_cached_subsets,
                     build_workers=self._build_workers,
                     kernel=self._kernel_request,
                 )
-                with self._lock:
-                    self._subsessions[subset] = session
-                    while (
-                        self._max_cached_subsets is not None
-                        and len(self._subsessions) > self._max_cached_subsets
-                    ):
-                        self._subsessions.popitem(last=False)
+                self._cache_subsession(problem, subset, session)
             finally:
                 # only remove our own registration: after an LRU eviction a
                 # later thread may already be rebuilding this subset under a
@@ -755,14 +743,34 @@ class ProtectionService:
         return session, False
 
     def _cached_subsession(
-        self, subset: Tuple[Edge, ...]
+        self, problem: TPPProblem, subset: Tuple[Edge, ...]
     ) -> Optional["ProtectionService"]:
-        """Return the cached sub-session for ``subset``, refreshing its LRU slot."""
+        """Return the cached sub-session for ``subset``, refreshing its LRU
+        slot — or ``None`` when ``problem`` is no longer the live state."""
         with self._lock:
+            if self._problem is not problem:
+                return None
             session = self._subsessions.get(subset)
             if session is not None:
                 self._subsessions.move_to_end(subset)
             return session
+
+    def _cache_subsession(
+        self,
+        problem: TPPProblem,
+        subset: Tuple[Edge, ...],
+        session: "ProtectionService",
+    ) -> None:
+        """Cache a sub-session under the LRU bound while ``problem`` is live."""
+        with self._lock:
+            if self._problem is not problem:
+                return
+            self._subsessions[subset] = session
+            while (
+                self._max_cached_subsets is not None
+                and len(self._subsessions) > self._max_cached_subsets
+            ):
+                self._subsessions.popitem(last=False)
 
     def cached_subset_sessions(
         self,
@@ -799,13 +807,7 @@ class ProtectionService:
             raise ExperimentError(
                 f"sub-session targets {unknown!r} are not targets of this session"
             )
-        with self._lock:
-            self._subsessions[subset] = session
-            while (
-                self._max_cached_subsets is not None
-                and len(self._subsessions) > self._max_cached_subsets
-            ):
-                self._subsessions.popitem(last=False)
+        self._cache_subsession(self._problem, subset, session)
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,13 @@ semantic content of this module; everything else is routing.
   (``sorted_targets[i::K]`` is shard ``i``), so the layout is invariant
   under permutation and insertion order of the input target list (pinned
   by the property suite).
-* **Construction** filters targets *before* enumeration: every shard is
-  built through :meth:`ProtectionService.for_filtered_targets`, so a
-  shard never enumerates a non-shard target and its phase-1 graph equals
-  the unsharded session's.  All shards share one dissimilarity constant
+* **Construction** filters targets *before* enumeration: phase 1 runs
+  once (one graph copy, one freeze) into a
+  :class:`~repro.core.model.Phase1Substrate`, and every shard is built on
+  it through :meth:`ProtectionService.for_filtered_targets` — so a shard
+  never enumerates a non-shard target, and its phase-1 graph *is* the
+  unsharded session's, shared rather than copied.  All shards share one
+  dissimilarity constant
   ``C`` (by default the combined initial similarity), so per-shard
   dissimilarity traces sum to the whole session's.
 * **Routing**: a request whose targets live on one shard is forwarded
@@ -53,7 +56,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.budget import proportional_allocation
-from repro.core.model import ProtectionResult, TPPProblem
+from repro.core.model import Phase1Substrate, ProtectionResult, TPPProblem
 from repro.core.selection import Stopwatch
 from repro.exceptions import (
     BudgetError,
@@ -64,6 +67,7 @@ from repro.exceptions import (
     SnapshotMismatchError,
 )
 from repro.graphs.graph import Edge, Graph, canonical_edge, edge_sort_key
+from repro.graphs.indexed import IndexedGraph
 from repro.motifs.base import MotifPattern, coerce_motif
 from repro.motifs.enumeration import TargetSubgraphIndex
 from repro.service.requests import ProtectionRequest
@@ -137,21 +141,21 @@ def shard_assignment(
 
 
 def _build_shard_index(
-    phase1_graph: Graph,
+    indexed_graph: IndexedGraph,
     shard_targets: Tuple[Edge, ...],
     motif: MotifPattern,
     build_workers: Optional[int],
 ) -> TargetSubgraphIndex:
-    """Enumerate one shard's sub-index on the shared phase-1 graph.
+    """Enumerate one shard's sub-index on the shared frozen phase-1 graph.
 
     The single sanctioned direct :class:`TargetSubgraphIndex` construction
     site in the service layer (reprolint R8): building here — on the
-    phase-1 graph the constructor computed *once*, with only the shard's
+    phase-1 substrate the constructor froze *once*, with only the shard's
     targets — is what guarantees a shard never enumerates a non-shard
-    target and all shards agree on the phase-1 edge set.
+    target and all shards share one phase-1 edge set.
     """
     return TargetSubgraphIndex(
-        phase1_graph, shard_targets, motif, build_workers=build_workers
+        indexed_graph, shard_targets, motif, build_workers=build_workers
     )
 
 
@@ -230,14 +234,13 @@ class ShardedProtectionService:
     ) -> None:
         stopwatch = Stopwatch()
         if isinstance(graph_or_problem, TPPProblem):
-            problem = graph_or_problem
-            graph = problem.graph
-            targets = problem.targets
-            motif_pattern = problem.motif
+            problem: Optional[TPPProblem] = graph_or_problem
+            targets = graph_or_problem.targets
+            motif_pattern = graph_or_problem.motif
             if constant is None:
-                constant = problem.constant
+                constant = graph_or_problem.constant
         else:
-            graph = graph_or_problem
+            problem = None
             if targets is None:
                 raise ExperimentError(
                     "ShardedProtectionService needs the target links when "
@@ -246,17 +249,19 @@ class ShardedProtectionService:
             motif_pattern = coerce_motif(motif)
         count = shards if shards is not None else shards_from_env()
         assignment = shard_assignment(targets, count)
-        all_targets = tuple(
-            sorted((target for piece in assignment for target in piece),
-                   key=edge_sort_key)
-        )
-        # the phase-1 graph is computed once and shared by every shard's
-        # enumeration — all shards see the identical edge set with *all*
+        # phase 1 runs once and every shard enumerates on the one frozen
+        # result — all shards see the identical edge set with *all*
         # targets hidden, which is what makes per-shard similarities sum
         # to the unsharded session's
-        phase1_graph = graph.without_edges(all_targets)
+        substrate = (
+            problem.substrate()
+            if problem is not None
+            else Phase1Substrate.hide(graph_or_problem, targets)
+        )
         indexes = [
-            _build_shard_index(phase1_graph, piece, motif_pattern, build_workers)
+            _build_shard_index(
+                substrate.indexed_graph, piece, motif_pattern, build_workers
+            )
             for piece in assignment
         ]
         combined_initial = sum(
@@ -274,8 +279,7 @@ class ShardedProtectionService:
         self._build_workers = build_workers
         shard_services = [
             ProtectionService.for_filtered_targets(
-                graph,
-                all_targets,
+                substrate,
                 piece,
                 motif=motif_pattern,
                 constant=constant,

@@ -799,9 +799,9 @@ class TestShardBoundaryRule:
             """
             from repro.motifs.enumeration import TargetSubgraphIndex
 
-            def _build_shard_index(phase1_graph, shard_targets, motif, workers):
+            def _build_shard_index(indexed_graph, shard_targets, motif, workers):
                 return TargetSubgraphIndex(
-                    phase1_graph, shard_targets, motif, build_workers=workers
+                    indexed_graph, shard_targets, motif, build_workers=workers
                 )
             """,
             "R8",
@@ -814,9 +814,9 @@ class TestShardBoundaryRule:
             """
             from repro.motifs.enumeration import TargetSubgraphIndex
 
-            def _build_shard_index(graph, targets, motif):
+            def _build_shard_index(indexed_graph, targets, motif):
                 def sneaky():
-                    return TargetSubgraphIndex(graph, targets, motif)
+                    return TargetSubgraphIndex(indexed_graph, targets, motif)
                 return sneaky()
             """,
             "R8",
@@ -840,9 +840,10 @@ class TestShardBoundaryRule:
     def test_other_calls_in_service_clean(self):
         findings, _ = lint(
             """
-            def open_session(problem, factory):
-                index = problem.build_index()
-                return factory.for_filtered_targets(problem.graph, index)
+            def open_session(problem, kept, factory):
+                return factory.for_filtered_targets(
+                    problem.substrate(), kept, motif=problem.motif
+                )
             """,
             "R8",
             relpath="src/repro/service/service.py",

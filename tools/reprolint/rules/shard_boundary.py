@@ -1,11 +1,14 @@
 """R8 — shard-boundary: service code builds indexes through the factories.
 
 The sharding identity theorem rests on one construction invariant: every
-index in the service layer is enumerated on a phase-1 graph with *all*
-session targets hidden, filtered *before* enumeration.  Two factories
-embody it — :func:`repro.service.sharding._build_shard_index` (the shard
-path) and :meth:`ProtectionService.for_filtered_targets` (the subset
-path, which routes through ``TPPProblem``).  A service module that calls
+index in the service layer is enumerated on the session's one frozen
+phase-1 substrate (:class:`repro.core.model.Phase1Substrate`, *all*
+session targets hidden), with targets filtered *before* enumeration.  Two
+factories embody it — :func:`repro.service.sharding._build_shard_index`
+(the shard path, enumerating on the substrate's ``IndexedGraph``) and
+:meth:`ProtectionService.for_filtered_targets` (the subset and shard
+session path, which takes the parent's substrate and routes through
+``TPPProblem.on_substrate``).  A service module that calls
 ``TargetSubgraphIndex(...)`` directly can silently enumerate non-shard
 targets or a differently-filtered graph, breaking bit-identity in a way
 no single test would localise — so the lint forbids the constructor in
@@ -88,7 +91,8 @@ def _check_scope(
                     "direct TargetSubgraphIndex construction in service "
                     f"code (enclosing function {enclosing or '<module>'!r}); "
                     "build indexes through _build_shard_index or "
-                    "ProtectionService.for_filtered_targets so targets are "
-                    "filtered before enumeration",
+                    "ProtectionService.for_filtered_targets on the session's "
+                    "phase-1 substrate so targets are filtered before "
+                    "enumeration",
                 )
             )
