@@ -49,12 +49,11 @@ traces diverged), if the overall load-vs-build cold-start speedup dropped
 more than ``--max-regression`` below the committed value, or if the
 ``cold_start_speedup_met`` acceptance flag regressed from the committed
 report.  For the index-build report the check fails if
-the builds stopped being bit-identical (or their greedy traces diverged), if
-the overall vectorized-vs-seed build speedup dropped more than
-``--max-regression`` below the committed value, or if an acceptance flag
-that was true in the committed report (``vectorized_speedup_met``,
-``workers_beat_serial``) is no longer met — with the same single-CPU skip
-for ``workers_beat_serial`` as the service report.  For the kernel report
+the vectorized build stopped being bit-identical to the seed build (or their
+greedy traces diverged), if the overall vectorized-vs-seed build speedup
+dropped more than ``--max-regression`` below the committed value, or if the
+``vectorized_speedup_met`` acceptance flag regressed from the committed
+report.  For the kernel report
 the check fails (exit 1)
 if any method's kernel-vs-set *speedup* dropped by more than
 ``--max-regression`` (default 30%, absorbing CI machine noise), if a method
@@ -111,10 +110,10 @@ def _check_flags(fresh: dict, committed: dict, flags) -> list:
 def compare_index_build(fresh: dict, committed: dict, max_regression: float) -> list:
     """Return the failure list for an ``index_build`` report pair."""
     failures = []
-    if not fresh.get("parallel_identical", False):
+    if not fresh.get("vectorized_identical", False):
         failures.append(
-            "fresh run: parallel/vectorized builds are no longer bit-identical "
-            "to the seed build"
+            "fresh run: the vectorized build is no longer bit-identical to "
+            "the seed build"
         )
     if not fresh.get("greedy_traces_agree", False):
         failures.append(
@@ -129,11 +128,7 @@ def compare_index_build(fresh: dict, committed: dict, max_regression: float) -> 
             f"{max_regression:.0%} below the committed {committed_speedup:.2f}x "
             f"(floor {floor:.2f}x)"
         )
-    failures.extend(
-        _check_flags(
-            fresh, committed, ("vectorized_speedup_met", "workers_beat_serial")
-        )
-    )
+    failures.extend(_check_flags(fresh, committed, ("vectorized_speedup_met",)))
     return failures
 
 
@@ -401,7 +396,7 @@ def main(argv=None) -> int:
             f"overall_vectorized_speedup: committed "
             f"{committed.get('overall_vectorized_speedup')}x, fresh "
             f"{fresh.get('overall_vectorized_speedup')}x; bit-identical builds: "
-            f"{fresh.get('parallel_identical')}; greedy traces agree: "
+            f"{fresh.get('vectorized_identical')}; greedy traces agree: "
             f"{fresh.get('greedy_traces_agree')}"
         )
     elif committed.get("kind") == "index_update":

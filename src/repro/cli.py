@@ -159,13 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker kind for --workers > 1 (process pickles the index once per worker)",
     )
     protect.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        help="fan the index build (per-target enumeration) out over this "
-        "many worker processes; the index is bit-identical for every count",
-    )
-    protect.add_argument(
         "--index-file",
         help="cold-start the session from a snapshot written by build-index "
         "(skips dataset loading, target sampling and enumeration; "
@@ -214,12 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="target-sampling seed (use the same seed as the later protect "
         "run so both describe the same instance)",
-    )
-    build_index.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        help="fan the enumeration out over this many worker processes",
     )
     build_index.add_argument(
         "--output",
@@ -308,12 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bundle (*.tppsess); --dataset/--edge-list/--targets/--motif are ignored",
     )
     serve.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        help="fan the index build out over this many worker processes",
-    )
-    serve.add_argument(
         "--kernel",
         default="auto",
         choices=KERNEL_NAMES,
@@ -392,13 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=f"fan-out for the sweep experiments ({', '.join(_PARALLEL_EXPERIMENTS)})",
     )
-    experiment.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        help="fan each session's index build out over this many worker "
-        f"processes ({', '.join(_PARALLEL_EXPERIMENTS)})",
-    )
     experiment.add_argument("--json", help="also save the result as JSON to this path")
 
     return parser
@@ -426,9 +400,7 @@ def _load_instance(args: argparse.Namespace):
 
 def _command_protect(args: argparse.Namespace) -> int:
     if args.index_file:
-        service = ProtectionService.from_snapshot(
-            args.index_file, build_workers=args.build_workers, kernel=args.kernel
-        )
+        service = ProtectionService.from_snapshot(args.index_file, kernel=args.kernel)
         print(
             f"session cold-started from {args.index_file} "
             f"(motif {service.problem.motif.name}, "
@@ -441,7 +413,6 @@ def _command_protect(args: argparse.Namespace) -> int:
             graph,
             targets,
             motif=args.motif,
-            build_workers=args.build_workers,
             kernel=args.kernel,
         )
     requests = [
@@ -486,7 +457,7 @@ def _command_build_index(args: argparse.Namespace) -> int:
     graph, targets = _load_instance(args)
     problem = TPPProblem(graph, targets, motif=args.motif)
     stopwatch_start = time.perf_counter()
-    path = problem.save_index(args.output, build_workers=args.build_workers)
+    path = problem.save_index(args.output)
     elapsed = time.perf_counter() - stopwatch_start
     index = problem.build_index()  # cached — returns the just-built index
     size = path.stat().st_size
@@ -633,7 +604,6 @@ def _serve_session(args: argparse.Namespace):
             if _bundle_is_sharded(args.index_file):
                 sharded = ShardedProtectionService.from_session(
                     args.index_file,
-                    build_workers=args.build_workers,
                     kernel=args.kernel,
                 )
                 print(
@@ -644,7 +614,6 @@ def _serve_session(args: argparse.Namespace):
                 return sharded
             service = ProtectionService.from_session(
                 args.index_file,
-                build_workers=args.build_workers,
                 kernel=args.kernel,
             )
             print(
@@ -655,7 +624,6 @@ def _serve_session(args: argparse.Namespace):
         else:
             service = ProtectionService.from_snapshot(
                 args.index_file,
-                build_workers=args.build_workers,
                 kernel=args.kernel,
             )
             print(f"session cold-started from {args.index_file}")
@@ -670,7 +638,6 @@ def _serve_session(args: argparse.Namespace):
             sharded = ShardedProtectionService(
                 service.problem,
                 shards=shards,
-                build_workers=args.build_workers,
                 kernel=args.kernel,
             )
             return sharded
@@ -682,7 +649,6 @@ def _serve_session(args: argparse.Namespace):
             targets,
             motif=args.motif,
             shards=shards,
-            build_workers=args.build_workers,
             kernel=args.kernel,
         )
         print(
@@ -695,7 +661,6 @@ def _serve_session(args: argparse.Namespace):
         graph,
         targets,
         motif=args.motif,
-        build_workers=args.build_workers,
         kernel=args.kernel,
     )
     print(
@@ -795,18 +760,12 @@ def _command_publish(args: argparse.Namespace) -> int:
 
 def _command_experiment(args: argparse.Namespace) -> int:
     runner = EXPERIMENT_RUNNERS[args.name]
-    if args.name in _PARALLEL_EXPERIMENTS and (
-        args.workers > 1 or args.build_workers > 1
-    ):
-        results = runner(
-            scale=args.scale,
-            workers=args.workers,
-            build_workers=args.build_workers,
-        )
+    if args.name in _PARALLEL_EXPERIMENTS and args.workers > 1:
+        results = runner(scale=args.scale, workers=args.workers)
     else:
-        if args.workers > 1 or args.build_workers > 1:
+        if args.workers > 1:
             print(
-                f"note: --workers/--build-workers only apply to "
+                f"note: --workers only applies to "
                 f"{', '.join(_PARALLEL_EXPERIMENTS)}; running {args.name} serially",
                 file=sys.stderr,
             )

@@ -204,31 +204,20 @@ class TPPProblem:
         """Return the targets as a frozen set of canonical edges."""
         return frozenset(self._targets)
 
-    def build_index(
-        self, build_workers: Optional[int] = None
-    ) -> TargetSubgraphIndex:
-        """Return (and cache) the target-subgraph index on the phase-1 graph.
-
-        ``build_workers > 1`` fans the per-target enumeration out over that
-        many worker processes (bit-identical result for every worker count);
-        it only applies to the build that actually runs — a cached index is
-        returned as-is.
-        """
+    def build_index(self) -> TargetSubgraphIndex:
+        """Return (and cache) the target-subgraph index on the phase-1 graph."""
         if self._index is None:
             self._index = TargetSubgraphIndex(
-                self._phase1_graph,
-                self._targets,
-                self._motif,
-                build_workers=build_workers,
+                self._phase1_graph, self._targets, self._motif
             )
         return self._index
 
     def adopt_index(self, index: TargetSubgraphIndex) -> TargetSubgraphIndex:
         """Adopt a prebuilt target-subgraph index as this problem's cache.
 
-        Lets callers that built an index out-of-band (a parallel build, a
-        deserialised snapshot, the build benchmark) serve this problem from
-        it without re-enumerating.  The index must have been built for this
+        Lets callers that built an index out-of-band (a deserialised
+        snapshot, the build benchmark) serve this problem from it without
+        re-enumerating.  The index must have been built for this
         problem's targets and motif on its phase-1 graph; targets, motif and
         graph size are validated, the graph contents are the caller's
         responsibility.
@@ -249,15 +238,10 @@ class TPPProblem:
         self._index = index
         return index
 
-    def save_index(
-        self,
-        path: Union[str, "Path"],
-        build_workers: Optional[int] = None,
-    ) -> "Path":
+    def save_index(self, path: Union[str, "Path"]) -> "Path":
         """Persist this problem's built index as a snapshot file.
 
-        Builds the index first if it is not cached yet (``build_workers``
-        fans that build out, exactly like :meth:`build_index`), then writes
+        Builds the index first if it is not cached yet, then writes
         a versioned snapshot — flat arrays, motif identity, targets,
         constant ``C`` and content hash — that
         :meth:`from_snapshot` / :meth:`ProtectionService.from_snapshot
@@ -268,8 +252,6 @@ class TPPProblem:
         ----------
         path:
             Destination snapshot file (conventionally ``*.tppsnap``).
-        build_workers:
-            Worker-process fan-out for the build, if one still has to run.
 
         Returns
         -------
@@ -278,7 +260,7 @@ class TPPProblem:
         """
         from repro.persistence.snapshot import save_snapshot
 
-        index = self.build_index(build_workers=build_workers)
+        index = self.build_index()
         return save_snapshot(path, index, self._constant)
 
     @classmethod
@@ -330,7 +312,11 @@ class TPPProblem:
         )
 
     def apply_delta(
-        self, delta: "repro.motifs.updates.EdgeDelta", constant: Optional[int] = None
+        self,
+        delta: Union[
+            "repro.motifs.updates.EdgeDelta", "repro.motifs.updates.GraphSplice"
+        ],
+        constant: Optional[int] = None,
     ) -> Tuple["TPPProblem", "repro.motifs.updates.DeltaOutcome"]:
         """Apply an :class:`~repro.motifs.updates.EdgeDelta` to the graph.
 
@@ -348,7 +334,9 @@ class TPPProblem:
             The ordered edge insertions/deletions.  Target links cannot be
             touched (they are not edges of the phase-1 graph the delta
             applies to; inserting one raises
-            :class:`~repro.exceptions.DeltaError`).
+            :class:`~repro.exceptions.DeltaError`).  A
+            :class:`~repro.motifs.updates.GraphSplice` of this problem's
+            phase-1 graph is applied without splicing the graph again.
         constant:
             The dissimilarity constant ``C`` of the updated problem.  By
             default the current constant is kept, auto-bumped to the new
@@ -457,7 +445,6 @@ class TPPProblem:
         motif: Union[str, MotifPattern] = "triangle",
         constant: Optional[int] = None,
         index: Optional[TargetSubgraphIndex] = None,
-        build_workers: Optional[int] = None,
     ) -> "TPPProblem":
         """Open a problem on some of a substrate's hidden targets.
 
@@ -466,9 +453,8 @@ class TPPProblem:
         original graph is that phase-1 graph plus ``targets``, materialised
         only on first access like a snapshot-restored problem's.  ``index``
         must have been enumerated on ``substrate.indexed_graph`` for exactly
-        these targets (in this order); without one it is enumerated there
-        (``build_workers`` as in :meth:`build_index`).  Nothing is copied
-        or frozen again.
+        these targets (in this order); without one it is enumerated there.
+        Nothing is copied or frozen again.
 
         Raises
         ------
@@ -489,10 +475,7 @@ class TPPProblem:
             )
         if index is None:
             index = TargetSubgraphIndex(
-                substrate.indexed_graph,
-                canonical,
-                motif_pattern,
-                build_workers=build_workers,
+                substrate.indexed_graph, canonical, motif_pattern
             )
         elif (
             index.indexed_graph is not substrate.indexed_graph

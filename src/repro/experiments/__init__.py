@@ -6,7 +6,7 @@ from repro.experiments.attack_defense import (
     run_attack_defense,
 )
 from repro.experiments.config import ExperimentConfig, paper_profile, quick_profile
-from repro.experiments.methods import is_greedy_method, run_method
+from repro.experiments.methods import is_greedy_method
 from repro.experiments.reporting import (
     format_runtime_comparison,
     format_similarity_evolution,
@@ -59,7 +59,6 @@ __all__ = [
     "ALL_METHODS",
     "GREEDY_METHODS",
     "BASELINE_METHODS",
-    "run_method",
     "is_greedy_method",
     "SimilarityEvolution",
     "run_similarity_evolution",

@@ -6,10 +6,9 @@ ordering tuple.  They now live in the decorator-based registry of
 :mod:`repro.service.registry` (registered in :mod:`repro.service.builtin`),
 which downstream users can extend with
 :func:`~repro.service.register_method`; this module re-exports the old
-names — derived live from the registry, so plugins show up — and keeps
-:func:`run_method` as a thin deprecation shim.
+names — derived live from the registry, so plugins show up.
 
-New code should go through :class:`repro.service.ProtectionService`, which
+Methods run through :class:`repro.service.ProtectionService`, which
 builds the target-subgraph index once and serves every query from a copy of
 its pristine coverage state::
 
@@ -19,15 +18,11 @@ its pristine coverage state::
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Tuple
 
-from repro.core.engines import EngineLike
-from repro.core.model import ProtectionResult, TPPProblem
 from repro.service import builtin  # noqa: F401  (registers the built-in methods)
 from repro.service.registry import (
     MethodRunner,
-    get_method,
     is_greedy_method,
     iter_methods,
     method_names,
@@ -37,7 +32,6 @@ __all__ = [
     "GREEDY_METHODS",
     "BASELINE_METHODS",
     "ALL_METHODS",
-    "run_method",
     "is_greedy_method",
 ]
 
@@ -64,28 +58,3 @@ ALL_METHODS: Tuple[str, ...]
 GREEDY_METHODS: Dict[str, MethodRunner]
 BASELINE_METHODS: Dict[str, MethodRunner]
 
-
-def run_method(
-    name: str,
-    problem: TPPProblem,
-    budget: int,
-    engine: EngineLike = "coverage",
-    seed: int = 0,
-) -> ProtectionResult:
-    """Run the method registered under ``name`` (deprecated shim).
-
-    .. deprecated::
-        Build a :class:`repro.service.ProtectionService` and call
-        :meth:`~repro.service.ProtectionService.solve` instead — it reuses
-        the enumerated index across queries instead of rebuilding state per
-        call.  This shim stays for one-off scripting compatibility.
-    """
-    warnings.warn(
-        "run_method() is deprecated; use ProtectionService.solve() — it builds "
-        "the target-subgraph index once and serves every query from a copy of "
-        "its pristine coverage state",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = get_method(name)
-    return spec.runner(problem, budget, engine, seed)

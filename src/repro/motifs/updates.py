@@ -19,12 +19,14 @@ How a delta is applied
    self-loop or inserting a hidden target link raise
    :class:`~repro.exceptions.DeltaError`).  Only the *net* effect matters
    for the result — an insert-then-delete round trip is a no-op.
-2. **Graph splice.**  The :class:`~repro.graphs.indexed.IndexedGraph` CSR
+2. **Graph splice** (:func:`splice_delta`).  The :class:`~repro.graphs.indexed.IndexedGraph` CSR
    is spliced, not rebuilt: node ids stay monotone when new labels merge
    into the ``str``-sorted table and edge ids stay monotone across
    deletions/insertions, so sorted merges (``searchsorted``) place every
    row without a global re-sort.  The splice returns the old-to-new edge-id
-   map that drives the index splice.
+   map that drives the index splice.  The splice depends only on the
+   graph and the hidden links, so indexes sharing one graph (the shards of
+   a session) share one :class:`GraphSplice` and keep sharing the result.
 3. **Destroyed instances** are read straight off the inverse
    ``edge -> instances`` CSR of the deleted edge ids — no enumeration.
 4. **Created instances** can only contain an inserted edge.  Every node of
@@ -55,7 +57,7 @@ the built-in motifs and a custom tuple-only motif, with the naive
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -68,7 +70,7 @@ from repro.motifs.enumeration import (
     _flat_ranges,
 )
 
-__all__ = ["EdgeDelta", "DeltaOutcome", "apply_delta"]
+__all__ = ["EdgeDelta", "DeltaOutcome", "GraphSplice", "apply_delta", "splice_delta"]
 
 #: Recognised operation verbs, in the order they read in a delta file.
 DELTA_OPS = ("insert", "delete")
@@ -184,7 +186,7 @@ class DeltaOutcome:
 
 
 def _net_effect(
-    index: TargetSubgraphIndex, delta: EdgeDelta
+    indexed: IndexedGraph, hidden: AbstractSet[Edge], delta: EdgeDelta
 ) -> Tuple[List[int], List[Edge]]:
     """Replay the operations in order; return the net (deleted ids, inserts).
 
@@ -192,15 +194,13 @@ def _net_effect(
     it applies to (insert of an existing edge or of a hidden target link,
     delete of an absent edge).
     """
-    indexed = index.indexed_graph
-    target_set = set(index.targets)
     overlay: Dict[Edge, bool] = {}
     for op, edge in delta.operations:
         present = overlay.get(edge)
         if present is None:
             present = indexed.find_edge_id(*edge) is not None
         if op == "insert":
-            if edge in target_set:
+            if edge in hidden:
                 raise DeltaError(
                     f"cannot insert {edge!r}: it is a hidden target link — "
                     "targets stay removed (phase 1) while the index serves"
@@ -295,7 +295,59 @@ def _targets_to_reenumerate(
     return positions
 
 
-def apply_delta(index: TargetSubgraphIndex, delta: EdgeDelta) -> DeltaOutcome:
+@dataclass(frozen=True)
+class GraphSplice:
+    """One :class:`EdgeDelta` spliced into a frozen phase-1 graph.
+
+    Attributes
+    ----------
+    source:
+        The :class:`~repro.graphs.indexed.IndexedGraph` the delta was
+        spliced into (untouched).
+    indexed:
+        The updated graph (``source`` itself when the delta is a net no-op).
+    edge_id_map:
+        Old-to-new edge ids of ``source`` (``-1`` for deleted edges), or
+        ``None`` for a no-op.
+    deleted_ids / inserted:
+        The net edge change: deleted edge ids of ``source``, inserted
+        canonical edges.
+    """
+
+    source: IndexedGraph
+    indexed: IndexedGraph
+    edge_id_map: Optional[np.ndarray]
+    deleted_ids: Tuple[int, ...]
+    inserted: Tuple[Edge, ...]
+
+
+def splice_delta(
+    indexed: IndexedGraph,
+    hidden: AbstractSet[Edge],
+    delta: Union[EdgeDelta, Iterable[Tuple[str, Edge]]],
+) -> GraphSplice:
+    """Validate ``delta`` against ``indexed`` and splice it in once.
+
+    ``hidden`` is the set of target links the graph hides; inserting one
+    raises :class:`DeltaError`, as does any operation inconsistent with the
+    edge set it applies to.
+    """
+    if not isinstance(delta, EdgeDelta):
+        delta = EdgeDelta(tuple(delta))
+    deleted_ids, inserted = _net_effect(indexed, hidden, delta)
+    if not deleted_ids and not inserted:
+        return GraphSplice(indexed, indexed, None, (), ())
+    new_indexed, edge_id_map, _node_id_map = indexed._apply_edge_delta(
+        deleted_ids, inserted
+    )
+    return GraphSplice(
+        indexed, new_indexed, edge_id_map, tuple(deleted_ids), tuple(inserted)
+    )
+
+
+def apply_delta(
+    index: TargetSubgraphIndex, delta: Union[EdgeDelta, GraphSplice]
+) -> DeltaOutcome:
     """Apply ``delta`` to ``index``; return the outcome with the new index.
 
     The returned index is bit-identical — all
@@ -304,11 +356,22 @@ def apply_delta(index: TargetSubgraphIndex, delta: EdgeDelta) -> DeltaOutcome:
     targets, motif)``, at a cost of the array splices plus re-enumerating
     only the targets near the inserted edges.  See the module docstring for
     the algorithm.
+
+    ``delta`` may also be a :class:`GraphSplice` of this index's own graph
+    (see :func:`splice_delta`, whose ``hidden`` set must cover the index's
+    targets): the graph is then not spliced again, and the new index shares
+    the splice's updated graph.
     """
-    if not isinstance(delta, EdgeDelta):
-        delta = EdgeDelta(tuple(delta))
-    deleted_ids, inserted = _net_effect(index, delta)
-    if not deleted_ids and not inserted:
+    if isinstance(delta, GraphSplice):
+        if delta.source is not index.indexed_graph:
+            raise DeltaError(
+                "the graph splice was made on a different phase-1 graph "
+                "than the index's"
+            )
+        splice = delta
+    else:
+        splice = splice_delta(index.indexed_graph, set(index.targets), delta)
+    if splice.edge_id_map is None:
         return DeltaOutcome(
             index=index,
             changed_targets=(),
@@ -318,10 +381,8 @@ def apply_delta(index: TargetSubgraphIndex, delta: EdgeDelta) -> DeltaOutcome:
             edges_inserted=0,
             targets_reenumerated=0,
         )
-
-    new_indexed, edge_id_map, _node_id_map = index.indexed_graph._apply_edge_delta(
-        deleted_ids, inserted
-    )
+    new_indexed, edge_id_map = splice.indexed, splice.edge_id_map
+    deleted_ids, inserted = splice.deleted_ids, splice.inserted
 
     # destroyed instances: one gather per deleted edge off the inverse CSR
     destroyed = np.zeros(index.number_of_instances(), dtype=bool)

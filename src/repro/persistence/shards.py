@@ -193,7 +193,6 @@ def load_sharded_session(
     shard: Optional[int] = None,
     allow_pickle: bool = True,
     max_cached_subsets: Optional[int] = 32,
-    build_workers: Optional[int] = None,
     kernel: Optional[str] = None,
 ) -> Union["ShardedProtectionService", "ProtectionService"]:
     """Restore a sharded bundle — the whole session or a single shard.
@@ -209,7 +208,7 @@ def load_sharded_session(
         :class:`~repro.service.ProtectionService` — the replica pays one
         shard's I/O and memory, which is how a fleet splits a session
         across machines.
-    allow_pickle / max_cached_subsets / build_workers / kernel:
+    allow_pickle / max_cached_subsets / kernel:
         As in :func:`repro.persistence.load_session`, applied to every
         restored shard.
 
@@ -259,7 +258,6 @@ def load_sharded_session(
                 service = ProtectionService(
                     problems[0],
                     max_cached_subsets=max_cached_subsets,
-                    build_workers=build_workers,
                     kernel=kernel,
                 )
                 service._index_source = "snapshot"
@@ -278,7 +276,6 @@ def load_sharded_session(
             return ShardedProtectionService._from_problems(
                 problems,
                 max_cached_subsets=max_cached_subsets,
-                build_workers=build_workers,
                 kernel=kernel,
                 index_source="snapshot",
             )

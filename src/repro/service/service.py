@@ -81,13 +81,6 @@ class ProtectionService:
         How many target-subset sub-sessions to keep (least-recently-used
         eviction; each caches a full enumerated index).  ``None`` means
         unbounded.
-    build_workers:
-        ``None``/``0``/``1`` builds the index serially; ``N > 1`` fans the
-        per-target enumeration (pass 1) out over ``N`` worker processes —
-        bit-identical index for every worker count.  Inherited by subset
-        sub-session builds.  Worth it once enumeration dominates the build
-        (many targets on a large graph); a small session pays pool spin-up
-        for nothing.
     kernel:
         Coverage-state hot-loop implementation: ``"auto"`` (default, =
         ``None``) runs the compiled C kernel when loadable and falls back
@@ -113,7 +106,6 @@ class ProtectionService:
         motif: Union[str, MotifPattern] = "triangle",
         constant: Optional[int] = None,
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> None:
         if max_cached_subsets is not None and max_cached_subsets < 1:
@@ -130,14 +122,11 @@ class ProtectionService:
                 )
             problem = TPPProblem(graph_or_problem, targets, motif=motif, constant=constant)
         self._problem = problem  # reprolint: guarded-by(_lock)
-        self._build_workers = build_workers
         #: the *requested* kernel selector (may be "auto"); the resolved
         #: choice lives on the prototype state and is surfaced by `kernel`
         self._kernel_request = kernel
         # reprolint: guarded-by(_lock)
-        self._index: TargetSubgraphIndex = problem.build_index(
-            build_workers=build_workers
-        )
+        self._index: TargetSubgraphIndex = problem.build_index()
         self._prototype = self._index.new_state(kernel=kernel)  # reprolint: guarded-by(_lock)
         self._build_seconds = stopwatch.elapsed()  # reprolint: guarded-by(_lock)
         self._set_prototype: Optional[SetCoverageState] = None  # reprolint: guarded-by(_lock)
@@ -164,7 +153,6 @@ class ProtectionService:
         path: Union[str, Path],
         allow_pickle: bool = True,
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> "ProtectionService":
         """Cold-start a session from a snapshot file — no enumeration.
@@ -190,9 +178,6 @@ class ProtectionService:
         max_cached_subsets:
             As in the constructor (subset sub-sessions still enumerate —
             they cover a different instance set than the snapshot).
-        build_workers:
-            As in the constructor; only subset sub-session builds can
-            trigger it, the snapshot itself never re-enumerates.
         kernel:
             As in the constructor (the snapshot stores arrays, not a
             kernel choice; the restored session resolves its own).
@@ -207,7 +192,6 @@ class ProtectionService:
         service = cls(
             problem,
             max_cached_subsets=max_cached_subsets,
-            build_workers=build_workers,
             kernel=kernel,
         )
         service._index_source = "snapshot"
@@ -219,7 +203,6 @@ class ProtectionService:
         path: Union[str, Path],
         allow_pickle: bool = True,
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> "ProtectionService":
         """Cold-start a session *bundle* written by :meth:`save_session`.
@@ -236,7 +219,6 @@ class ProtectionService:
             path,
             allow_pickle=allow_pickle,
             max_cached_subsets=max_cached_subsets,
-            build_workers=build_workers,
             kernel=kernel,
         )
 
@@ -257,7 +239,6 @@ class ProtectionService:
         constant: Optional[int] = None,
         index: Optional[TargetSubgraphIndex] = None,
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> "ProtectionService":
         """Open a session on ``kept`` ⊆ ``substrate.hidden``.
@@ -296,12 +277,10 @@ class ProtectionService:
             motif=motif,
             constant=constant,
             index=index,
-            build_workers=build_workers,
         )
         return cls(
             problem,
             max_cached_subsets=max_cached_subsets,
-            build_workers=build_workers,
             kernel=kernel,
         )
 
@@ -327,11 +306,6 @@ class ProtectionService:
     def build_seconds(self) -> float:
         """Wall-clock cost of the one-time build (index + prototype)."""
         return self._build_seconds
-
-    @property
-    def build_workers(self) -> Optional[int]:
-        """The pass-1 fan-out the session was configured with (None = serial)."""
-        return self._build_workers
 
     @property
     def kernel(self) -> str:
@@ -729,7 +703,6 @@ class ProtectionService:
                     motif=problem.motif,
                     constant=problem.constant,
                     max_cached_subsets=self._max_cached_subsets,
-                    build_workers=self._build_workers,
                     kernel=self._kernel_request,
                 )
                 self._cache_subsession(problem, subset, session)

@@ -144,7 +144,6 @@ def _build_shard_index(
     indexed_graph: IndexedGraph,
     shard_targets: Tuple[Edge, ...],
     motif: MotifPattern,
-    build_workers: Optional[int],
 ) -> TargetSubgraphIndex:
     """Enumerate one shard's sub-index on the shared frozen phase-1 graph.
 
@@ -154,9 +153,7 @@ def _build_shard_index(
     targets — is what guarantees a shard never enumerates a non-shard
     target and all shards share one phase-1 edge set.
     """
-    return TargetSubgraphIndex(
-        indexed_graph, shard_targets, motif, build_workers=build_workers
-    )
+    return TargetSubgraphIndex(indexed_graph, shard_targets, motif)
 
 
 @dataclass(frozen=True)
@@ -167,9 +164,9 @@ class ShardDeltaOutcome:
     ----------
     outcomes:
         One :class:`~repro.motifs.updates.DeltaOutcome` per shard, in
-        shard order.  Every shard applies the delta (each shard's phase-1
-        graph must splice in the edge changes), but only the touched
-        shards pay re-enumeration — the others are a CSR splice.
+        shard order.  Every shard applies the delta to its index, but the
+        shared phase-1 graph is spliced once, and only the touched shards
+        pay re-enumeration.
     touched_shards:
         Indexes of the shards whose target instance sets actually changed
         (the shard-aware hot-reload surfaces these).
@@ -213,7 +210,7 @@ class ShardedProtectionService:
         The shard count ``K``.  ``None`` reads ``REPRO_SHARDS`` (default
         1); the effective count is clamped to ``min(K, len(targets))`` so
         no shard is ever empty.
-    max_cached_subsets / build_workers / kernel:
+    max_cached_subsets / kernel:
         Forwarded to every shard sub-session.
 
     A sharded session serves the same :meth:`solve` / :meth:`solve_many`
@@ -229,7 +226,6 @@ class ShardedProtectionService:
         constant: Optional[int] = None,
         shards: Optional[int] = None,
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> None:
         stopwatch = Stopwatch()
@@ -259,9 +255,7 @@ class ShardedProtectionService:
             else Phase1Substrate.hide(graph_or_problem, targets)
         )
         indexes = [
-            _build_shard_index(
-                substrate.indexed_graph, piece, motif_pattern, build_workers
-            )
+            _build_shard_index(substrate.indexed_graph, piece, motif_pattern)
             for piece in assignment
         ]
         combined_initial = sum(
@@ -276,7 +270,6 @@ class ShardedProtectionService:
             )
         self._kernel_request = kernel
         self._max_cached_subsets = max_cached_subsets
-        self._build_workers = build_workers
         shard_services = [
             ProtectionService.for_filtered_targets(
                 substrate,
@@ -285,7 +278,6 @@ class ShardedProtectionService:
                 constant=constant,
                 index=index,
                 max_cached_subsets=max_cached_subsets,
-                build_workers=build_workers,
                 kernel=kernel,
             )
             for piece, index in zip(assignment, indexes)
@@ -352,7 +344,6 @@ class ShardedProtectionService:
         cls,
         problems: Sequence[TPPProblem],
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
         index_source: str = "built",
         deltas_applied: int = 0,
@@ -367,13 +358,11 @@ class ShardedProtectionService:
         service = cls.__new__(cls)
         service._kernel_request = kernel
         service._max_cached_subsets = max_cached_subsets
-        service._build_workers = build_workers
         shard_services = []
         for problem in problems:
             shard = ProtectionService(
                 problem,
                 max_cached_subsets=max_cached_subsets,
-                build_workers=build_workers,
                 kernel=kernel,
             )
             shard._index_source = index_source
@@ -388,7 +377,6 @@ class ShardedProtectionService:
         path: Union[str, Path],
         allow_pickle: bool = True,
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> "ShardedProtectionService":
         """Cold-start a sharded session from a ``.tppshards`` bundle.
@@ -403,7 +391,6 @@ class ShardedProtectionService:
             path,
             allow_pickle=allow_pickle,
             max_cached_subsets=max_cached_subsets,
-            build_workers=build_workers,
             kernel=kernel,
         )
         assert isinstance(service, ShardedProtectionService)
@@ -885,11 +872,12 @@ class ShardedProtectionService:
         The incremental maintenance runs copy-on-write against all shards
         *first* — any failure (inconsistent delta, constant violation)
         leaves every shard serving its pre-delta state — and only then is
-        each shard's result installed.  Every shard splices the edge
-        changes into its phase-1 graph (they share it semantically), but
-        only shards whose targets' instance sets changed pay
-        re-enumeration; :attr:`ShardDeltaOutcome.touched_shards` names
-        them for the shard-aware hot reload.
+        each shard's result installed.  The shared phase-1 graph is
+        spliced once and every shard's index is updated on that one splice,
+        so the shards keep sharing one graph; only shards whose targets'
+        instance sets changed pay re-enumeration
+        (:attr:`ShardDeltaOutcome.touched_shards` names them for the
+        shard-aware hot reload).
 
         A :class:`~repro.persistence.DeltaSnapshot` is verified against
         this session's *combined* :meth:`content_hash` before anything is
@@ -900,7 +888,7 @@ class ShardedProtectionService:
         values below it raise :class:`~repro.exceptions.DeltaError` —
         after which every shard is rebased to the one shared ``C``.
         """
-        from repro.motifs.updates import EdgeDelta
+        from repro.motifs.updates import EdgeDelta, GraphSplice, splice_delta
 
         with self._delta_lock:
             if not isinstance(delta, EdgeDelta):
@@ -920,9 +908,16 @@ class ShardedProtectionService:
                     )
                 delta = raw
             stopwatch = Stopwatch()
-            updates = [
-                shard.problem.apply_delta(delta) for shard in self._shards
-            ]
+            # one splice per phase-1 graph: shards built together share one
+            # graph, shards restored from a bundle each hold their own
+            hidden = set(self._targets)
+            splices: Dict[int, GraphSplice] = {}
+            updates = []
+            for shard in self._shards:
+                indexed = shard.index.indexed_graph
+                if id(indexed) not in splices:
+                    splices[id(indexed)] = splice_delta(indexed, hidden, delta)
+                updates.append(shard.problem.apply_delta(splices[id(indexed)]))
             combined_initial = sum(
                 problem.initial_similarity() for problem, _ in updates
             )

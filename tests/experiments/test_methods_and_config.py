@@ -12,8 +12,9 @@ from repro.experiments.methods import (
     BASELINE_METHODS,
     GREEDY_METHODS,
     is_greedy_method,
-    run_method,
 )
+from repro.service import ProtectionRequest, ProtectionService
+from repro.service.registry import get_method
 
 
 @pytest.fixture
@@ -21,6 +22,11 @@ def problem():
     graph = small_social_graph(seed=1)
     targets = sample_random_targets(graph, 5, seed=0)
     return TPPProblem(graph, targets, motif="triangle")
+
+
+@pytest.fixture
+def service(problem):
+    return ProtectionService(problem)
 
 
 class TestMethodRegistry:
@@ -32,21 +38,25 @@ class TestMethodRegistry:
         assert not is_greedy_method("RD")
 
     @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_every_method_runs(self, problem, method):
-        result = run_method(method, problem, budget=3, engine="coverage", seed=0)
+    def test_every_method_runs(self, service, method):
+        result = service.solve(ProtectionRequest(method, 3, engine="coverage", seed=0))
         assert result.budget_used <= 3
         assert result.final_similarity <= result.initial_similarity
 
-    def test_unknown_method(self, problem):
+    def test_unknown_method(self, service):
         with pytest.raises(ExperimentError):
-            run_method("Oracle", problem, budget=1)
+            get_method("Oracle")
+        with pytest.raises(ExperimentError):
+            service.solve(ProtectionRequest("Oracle", 1))
 
-    def test_greedy_methods_beat_rd_on_average(self, problem):
+    def test_greedy_methods_beat_rd_on_average(self, service):
         budget = 5
-        rd_mean = sum(
-            run_method("RD", problem, budget, seed=s).final_similarity for s in range(5)
-        ) / 5
-        sgb = run_method("SGB-Greedy", problem, budget).final_similarity
+        rd = [service.solve(ProtectionRequest("RD", budget, seed=s)) for s in range(5)]
+        # a seeded RD draw is reproducible
+        again = service.solve(ProtectionRequest("RD", budget, seed=3))
+        assert again.protectors == rd[3].protectors
+        rd_mean = sum(result.final_similarity for result in rd) / 5
+        sgb = service.solve(ProtectionRequest("SGB-Greedy", budget)).final_similarity
         assert sgb <= rd_mean
 
 

@@ -1,28 +1,28 @@
 """Property tests: every index-construction strategy builds the same index.
 
-The vectorised assembly (``assembly="numpy"``), the seed's element-wise
-loops (``assembly="python"``) and the parallel pass-1 fan-out
-(``build_workers=N``) must all produce **bit-identical** flat arrays — and
-therefore identical initial similarities, candidate orders and full greedy
-traces — on every instance.  The edge-id order is load-bearing for the
-greedy tie-breaking, so these tests compare the arrays by bytes, not just by
-value.
+The vectorised assembly (``assembly="numpy"``) and the seed's element-wise
+loops (``assembly="python"``) must produce **bit-identical** flat arrays —
+and therefore identical initial similarities and candidate orders — on
+every instance, and a custom motif's index must not depend on the
+interpreter's hash seed.  The edge-id order is load-bearing for the greedy
+tie-breaking, so these tests compare the arrays by bytes, not just by value.
 """
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.model import TPPProblem
 from repro.graphs.graph import Graph, canonical_edge
 from repro.motifs.base import MotifPattern
 from repro.motifs.enumeration import INDEX_ARRAY_FIELDS, TargetSubgraphIndex
-from repro.service import ProtectionRequest, ProtectionService
 
 MOTIFS = ("triangle", "rectangle", "rectri")
-
-GREEDY_METHODS = ("SGB-Greedy", "CT-Greedy:TBD", "WT-Greedy:TBD")
 
 
 def fingerprint(index):
@@ -71,60 +71,9 @@ def test_numpy_assembly_matches_seed_assembly(seed, motif_index):
     assert vectorized.candidate_edge_list() == reference.candidate_edge_list()
 
 
-def greedy_traces(graph, targets, motif, index, budget):
-    """Run the three greedy methods on the given prebuilt index."""
-    problem = TPPProblem(graph, targets, motif=motif)
-    problem.adopt_index(index)
-    service = ProtectionService(problem)
-    traces = {}
-    for method in GREEDY_METHODS:
-        result = service.solve(ProtectionRequest(method, budget))
-        traces[method] = (result.protectors, result.similarity_trace)
-    return traces
-
-
-def test_parallel_build_bit_identical_and_greedy_traces_agree():
-    checked = 0
-    for seed in range(12):
-        graph, targets = random_instance(seed)
-        if graph is None:
-            continue
-        motif = MOTIFS[seed % len(MOTIFS)]
-        removed = phase1(graph, targets)
-        serial = TargetSubgraphIndex(removed, targets, motif)
-        if serial.number_of_instances() == 0:
-            continue
-        reference = fingerprint(serial)
-        budget = max(1, serial.number_of_instances() // 2)
-        reference_traces = greedy_traces(graph, targets, motif, serial, budget)
-        for workers in (1, 2, 4):
-            parallel = TargetSubgraphIndex(
-                removed, targets, motif, build_workers=workers
-            )
-            assert fingerprint(parallel) == reference, (seed, motif, workers)
-            assert (
-                greedy_traces(graph, targets, motif, parallel, budget)
-                == reference_traces
-            ), (seed, motif, workers)
-        checked += 1
-        if checked >= 4:
-            break
-    assert checked >= 2, "not enough non-trivial random instances"
-
-
-def test_parallel_build_with_python_assembly_matches_too():
-    graph, targets = random_instance(3)
-    removed = phase1(graph, targets)
-    serial = TargetSubgraphIndex(removed, targets, "triangle", assembly="python")
-    parallel = TargetSubgraphIndex(
-        removed, targets, "triangle", build_workers=2, assembly="python"
-    )
-    assert fingerprint(parallel) == fingerprint(serial)
-
-
 class TupleOnlyRectangle(MotifPattern):
-    """A custom motif with no id-space override: the parallel dispatcher must
-    route it through the same tuple-enumeration fallback as the serial build."""
+    """A custom motif with no id-space override: the build routes it through
+    the tuple-enumeration fallback, which walks ``Graph`` adjacency sets."""
 
     name = "tuple-only-rectangle"
 
@@ -191,18 +140,62 @@ def test_zero_arity_instances_survive_the_vectorized_kernel():
     )
 
 
-def test_custom_tuple_motif_parallel_build_matches_serial():
+def string_labelled(graph, targets):
+    """Relabel the nodes as ``str``: their adjacency-set order then follows
+    ``PYTHONHASHSEED``, unlike the order of small ``int`` nodes."""
+    relabelled = Graph(nodes=(f"v{node}" for node in graph.nodes()))
+    for u, v in graph.edges():
+        relabelled.add_edge(f"v{u}", f"v{v}")
+    return relabelled, [canonical_edge(f"v{u}", f"v{v}") for u, v in targets]
+
+
+def custom_motif_digest(seeds=(1, 5, 9)):
+    """SHA-256 over the index arrays of tuple-only rectangle builds."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        graph, targets = random_instance(seed)
+        if graph is None:
+            continue
+        graph, targets = string_labelled(graph, targets)
+        index = TargetSubgraphIndex(
+            phase1(graph, targets), targets, TupleOnlyRectangle()
+        )
+        for name in INDEX_ARRAY_FIELDS:
+            digest.update(getattr(index, name).tobytes())
+    return digest.hexdigest()
+
+
+_DIGEST_SCRIPT = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from test_index_build_equivalence import custom_motif_digest; "
+    "print(custom_motif_digest())"
+)
+
+
+def test_custom_tuple_motif_identical_across_hash_seeds():
+    """The tuple fallback's generation order depends on the hash seed; the
+    build puts each target's instances in canonical order, so the index
+    bytes of a custom motif are the same in every interpreter."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = {
+        hash_seed: subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT, str(Path(__file__).parent)],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for hash_seed in ("0", "1", "2")
+    }
+    assert len(set(digests.values())) == 1, digests
+    # and the fallback agrees with the built-in CSR enumeration
     for seed in (1, 5, 9):
         graph, targets = random_instance(seed)
         if graph is None:
             continue
         removed = phase1(graph, targets)
-        serial = TargetSubgraphIndex(removed, targets, TupleOnlyRectangle())
-        parallel = TargetSubgraphIndex(
-            removed, targets, TupleOnlyRectangle(), build_workers=2
-        )
-        assert fingerprint(parallel) == fingerprint(serial)
-        # and the fallback agrees with the built-in CSR enumeration
+        custom = TargetSubgraphIndex(removed, targets, TupleOnlyRectangle())
         builtin = TargetSubgraphIndex(removed, targets, "rectangle")
-        assert serial.number_of_instances() == builtin.number_of_instances()
-        assert serial.candidate_edge_list() == builtin.candidate_edge_list()
+        assert custom.number_of_instances() == builtin.number_of_instances()
+        assert custom.candidate_edge_list() == builtin.candidate_edge_list()

@@ -60,34 +60,6 @@ class TestConstruction:
         session = ProtectionService(problem)
         assert session.index is index
 
-    def test_build_workers_session_serves_identical_results(self, graph, targets):
-        serial = ProtectionService(graph, targets, motif="triangle")
-        parallel = ProtectionService(
-            graph, targets, motif="triangle", build_workers=2
-        )
-        assert parallel.build_workers == 2
-        assert serial.build_workers is None
-        request = ProtectionRequest("CT-Greedy:TBD", 6)
-        assert trace(parallel.solve(request)) == trace(serial.solve(request))
-        # the parallel-built index is bit-identical, not merely equivalent
-        assert (
-            parallel.index._inst_edge_ids.tobytes()
-            == serial.index._inst_edge_ids.tobytes()
-        )
-        assert (
-            parallel.index._edge_inst_ids.tobytes()
-            == serial.index._edge_inst_ids.tobytes()
-        )
-
-    def test_subset_subsession_inherits_build_workers(self, graph, targets):
-        session = ProtectionService(
-            graph, targets, motif="triangle", build_workers=2
-        )
-        subset = tuple(sorted(targets, key=edge_sort_key)[:2])
-        session.solve(ProtectionRequest("SGB-Greedy", 3, targets=subset))
-        (sub_session,) = session._subsessions.values()
-        assert sub_session.build_workers == 2
-
 
 class TestDeterminismAndIsolation:
     def test_repeated_solve_identical(self, service):

@@ -87,6 +87,42 @@ class TestSharedSubstrate:
         assert calls == {"copy": 0, "freeze": 0}
         assert sharded.shards[1].index.indexed_graph is problem.build_index().indexed_graph
 
+    def test_sharded_deltas_splice_the_shared_graph_once(self, instance, monkeypatch):
+        graph, targets = instance
+        sharded = ShardedProtectionService(graph, targets, motif="triangle", shards=3)
+        splices = []
+        splice = IndexedGraph._apply_edge_delta
+
+        def counted_splice(self, *args, **kwargs):
+            splices.append(self)
+            return splice(self, *args, **kwargs)
+
+        monkeypatch.setattr(IndexedGraph, "_apply_edge_delta", counted_splice)
+        phase1 = sharded.shards[0].problem.phase1_graph
+        a, b = targets[0]
+        absent = next(
+            (u, w)
+            for u in (a, b)
+            for w in sorted(graph.nodes())
+            if w not in (a, b) and not phase1.has_edge(u, w)
+        )
+        updated = graph.copy()
+        for delta in (
+            EdgeDelta.inserting(absent),
+            EdgeDelta.deleting(sorted(phase1.edges())[0]),
+        ):
+            before = len(splices)
+            sharded.apply_delta(delta)
+            assert len(splices) == before + 1
+            for op, edge in delta.operations:
+                (updated.add_edge if op == "insert" else updated.remove_edge)(*edge)
+        assert len({id(shard.index.indexed_graph) for shard in sharded.shards}) == 1
+        fresh = ShardedProtectionService(updated, targets, motif="triangle", shards=3)
+        request = ProtectionRequest("SGB-Greedy", 6)
+        got, want = sharded.solve(request), fresh.solve(request)
+        assert got.protectors == want.protectors
+        assert got.similarity_trace == want.similarity_trace
+
     def test_subset_shares_parent_index_graph(self, instance):
         graph, targets = instance
         parent = ProtectionService(graph, targets, motif="triangle")

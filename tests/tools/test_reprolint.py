@@ -799,10 +799,8 @@ class TestShardBoundaryRule:
             """
             from repro.motifs.enumeration import TargetSubgraphIndex
 
-            def _build_shard_index(indexed_graph, shard_targets, motif, workers):
-                return TargetSubgraphIndex(
-                    indexed_graph, shard_targets, motif, build_workers=workers
-                )
+            def _build_shard_index(indexed_graph, shard_targets, motif):
+                return TargetSubgraphIndex(indexed_graph, shard_targets, motif)
             """,
             "R8",
             relpath="src/repro/service/sharding.py",

@@ -1,7 +1,7 @@
 """R4 — pickle-safety: nothing unpicklable crosses the process pool.
 
-The parallel build (``build_workers``) and ``solve_many(mode="process")``
-pickle their payloads into ``ProcessPoolExecutor`` workers.  Lambdas,
+``solve_many(mode="process")`` pickles its payload into
+``ProcessPoolExecutor`` workers.  Lambdas,
 functions defined inside another function (closures), and local classes
 cannot be pickled — the failure surfaces at runtime, on the multi-core
 machine that CI is not, as a ``PicklingError`` deep inside
